@@ -323,18 +323,12 @@ fn main() {
     );
 
     // Concurrent in-shard read path: the read-heavy 95/5 record mix at
-    // the widest shard count, swept over read execution paths. Reads on
-    // the concurrent paths bypass the timed model via each shard's
-    // lock-free ReadView, so the figure of merit is wall-clock TPS.
+    // the widest shard count, timed vs inline reads. Inline reads bypass
+    // the timed model via each shard's lock-free ReadView, so the figure
+    // of merit is wall-clock TPS.
     let rh_shards = *SHARD_COUNTS.last().unwrap();
     let rh_txns = arg_u64("read-txns", if quick { 300 } else { 3_000 });
-    let paths: [(&str, ReadPath); 5] = [
-        ("timed", ReadPath::Timed),
-        ("inline", ReadPath::Inline),
-        ("readers1", ReadPath::Readers(1)),
-        ("readers2", ReadPath::Readers(2)),
-        ("readers4", ReadPath::Readers(4)),
-    ];
+    let paths: [(&str, ReadPath); 2] = [("timed", ReadPath::Timed), ("inline", ReadPath::Inline)];
     let mut rh_table = Table::new(&[
         "read path",
         "txns",
@@ -386,14 +380,6 @@ fn main() {
             format!("readheavy/{name}"),
             vec![
                 ("shards", f64::from(rh_shards)),
-                (
-                    "reader_threads",
-                    match path {
-                        ReadPath::Timed => 0.0,
-                        ReadPath::Inline => -1.0,
-                        ReadPath::Readers(n) => f64::from(n),
-                    },
-                ),
                 ("completed_txns", report.completed_txns as f64),
                 ("wall_tps", wall_tps),
                 ("reads_offloaded", outcome.total_reads_offloaded() as f64),
@@ -448,14 +434,14 @@ fn main() {
     );
 
     // Event-driven socket path: the connection-count load axis. All
-    // socket stages run the epoll driver over a Unix socket against an
-    // 8-shard Inline front end (the fastest in-process read path, so
+    // socket stages run the epoll event loop over a Unix socket against
+    // an 8-shard Inline front end (the fastest in-process read path, so
     // the comparison is against the strongest baseline).
     let sock_shards = *SHARD_COUNTS.last().unwrap();
     let active = arg_u64("active-conns", if quick { 50 } else { 100 }).max(1) as u32;
     let sock_path =
         std::env::temp_dir().join(format!("envy-ext-serve-{}.sock", std::process::id()));
-    let launch_sock = |driver: NetDriver| {
+    let launch_sock = || {
         let config = ServeConfig::scaled(sock_shards).with_read_path(ReadPath::Inline);
         let stores = (0..sock_shards).map(|_| baseline.fork()).collect();
         let front = ShardedStore::launch_from(stores, &config);
@@ -465,7 +451,7 @@ fn main() {
             listener,
             front,
             NetConfig {
-                driver,
+                driver: NetDriver::Epoll,
                 idle_timeout: None,
             },
         )
@@ -487,29 +473,15 @@ fn main() {
     );
     let inproc_report = run_inproc(&inproc_front.handle(), &ratio_spec);
     inproc_front.shutdown();
-    let (server, plan) = launch_sock(NetDriver::Epoll);
+    let (server, plan) = launch_sock();
     let sock_report = run_socket(|| Client::connect_unix(&sock_path), plan, &ratio_spec)
         .expect("socket ratio load run");
     server.shutdown();
     assert_eq!(sock_report.errors, 0, "socket ratio serving errors");
-    // The same wire load under the thread-per-connection driver: the
-    // apples-to-apples comparison for the event-loop rewrite (both pay
-    // the full socket tax; only the connection model differs).
-    let (server_t, plan_t) = launch_sock(NetDriver::Threads);
-    let sock_t_report = run_socket(|| Client::connect_unix(&sock_path), plan_t, &ratio_spec)
-        .expect("socket ratio load run (threads)");
-    server_t.shutdown();
-    assert_eq!(sock_t_report.errors, 0, "threads ratio serving errors");
     let inproc_tps = inproc_report.throughput_tps();
     let sock_tps = sock_report.throughput_tps();
-    let sock_t_tps = sock_t_report.throughput_tps();
     let sock_gap = if sock_tps > 0.0 {
         inproc_tps / sock_tps
-    } else {
-        f64::INFINITY
-    };
-    let epoll_over_threads = if sock_t_tps > 0.0 {
-        sock_tps / sock_t_tps
     } else {
         f64::INFINITY
     };
@@ -520,13 +492,6 @@ fn main() {
         sock_tps / 1e3,
         sock_gap
     );
-    println!(
-        "socket drivers at {active} connections: epoll {:.1} ktps vs threads {:.1} ktps \
-         -> {:.2}x",
-        sock_tps / 1e3,
-        sock_t_tps / 1e3,
-        epoll_over_threads
-    );
     println!();
     let ratio_point = (
         format!("conn_ratio/{active}conns"),
@@ -534,9 +499,7 @@ fn main() {
             ("active_conns", f64::from(active)),
             ("inproc_wall_tps", inproc_tps),
             ("socket_wall_tps", sock_tps),
-            ("socket_threads_wall_tps", sock_t_tps),
             ("inproc_over_socket", sock_gap),
-            ("epoll_over_threads", epoll_over_threads),
         ],
     );
 
@@ -582,7 +545,7 @@ fn main() {
             );
             continue;
         }
-        let (server, plan) = launch_sock(NetDriver::Epoll);
+        let (server, plan) = launch_sock();
         let idle_count = count.saturating_sub(u64::from(active));
         let holder = if idle_count > 0 {
             let exe = std::env::current_exe().expect("current exe");
@@ -681,44 +644,35 @@ fn main() {
     }
 
     // Idle-connection memory: fd and RSS cost per quiet connection
-    // under the event loop vs thread-per-connection (two OS threads
-    // and stacks each) — the memory win that motivates the rewrite.
+    // under the event loop (a decoder buffer and a write queue each,
+    // no per-connection thread).
     let mem_conns = arg_u64("mem-conns", if quick { 200 } else { 500 });
-    let mut mem_table = Table::new(&["driver", "idle conns", "fds/conn", "rss KiB/conn"]);
-    let mut mem_points: Vec<(String, Vec<(&'static str, f64)>)> = Vec::new();
-    for driver in [NetDriver::Epoll, NetDriver::Threads] {
-        let (server, _plan) = launch_sock(driver);
-        let fd0 = fd_count();
-        let rss0 = rss_kb();
-        let idle: Vec<Client> = (0..mem_conns).map(|_| connect_retry(&sock_path)).collect();
-        // Let the server finish materializing per-connection state
-        // (the threads driver spawns two threads per connection).
-        std::thread::sleep(Duration::from_millis(200));
-        let fd_per = (fd_count().saturating_sub(fd0)) as f64 / mem_conns as f64;
-        let rss_per = (rss_kb().saturating_sub(rss0)) as f64 / mem_conns as f64;
-        drop(idle);
-        server.shutdown();
-        mem_table.row(&[
-            driver.name().to_string(),
-            mem_conns.to_string(),
-            format!("{fd_per:.2}"),
-            format!("{rss_per:.1}"),
-        ]);
-        mem_points.push((
-            format!("conn_mem/{}", driver.name()),
-            vec![
-                ("idle_conns", mem_conns as f64),
-                ("fds_per_conn", fd_per),
-                ("rss_kb_per_conn", rss_per),
-            ],
-        ));
-    }
-    emit(
-        "Section 6",
-        "idle-connection cost: event loop vs thread-per-connection",
-        &mem_table,
-    );
+    let (server, _plan) = launch_sock();
+    let fd0 = fd_count();
+    let rss0 = rss_kb();
+    let idle: Vec<Client> = (0..mem_conns).map(|_| connect_retry(&sock_path)).collect();
+    // Let the server finish materializing per-connection state.
+    std::thread::sleep(Duration::from_millis(200));
+    let fd_per = (fd_count().saturating_sub(fd0)) as f64 / mem_conns as f64;
+    let rss_per = (rss_kb().saturating_sub(rss0)) as f64 / mem_conns as f64;
+    drop(idle);
+    server.shutdown();
+    let mut mem_table = Table::new(&["idle conns", "fds/conn", "rss KiB/conn"]);
+    mem_table.row(&[
+        mem_conns.to_string(),
+        format!("{fd_per:.2}"),
+        format!("{rss_per:.1}"),
+    ]);
+    emit("Section 6", "idle-connection cost: event loop", &mem_table);
     println!();
+    let mem_point = (
+        "conn_mem/epoll".to_string(),
+        vec![
+            ("idle_conns", mem_conns as f64),
+            ("fds_per_conn", fd_per),
+            ("rss_kb_per_conn", rss_per),
+        ],
+    );
 
     let mut points = vec![anchor_point];
     points.extend(sweep.points.iter().cloned());
@@ -727,7 +681,7 @@ fn main() {
     points.push(burst_point);
     points.push(ratio_point);
     points.extend(conn_points);
-    points.extend(mem_points);
+    points.push(mem_point);
     let extras = match depth_json.into_inner().expect("no poisoned lock") {
         Some(json) => vec![("queue_depth", json)],
         None => Vec::new(),

@@ -25,7 +25,7 @@ OPTIONS:
     --batch N           max requests drained per dispatch
     --trace N           enable controller tracing with an N-event ring
     --duration-secs S   shut down automatically after S seconds
-    --net-driver D      connection driver: epoll|poll|threads (default epoll)
+    --net-driver D      event-loop backend: epoll|poll (default epoll)
     --idle-timeout-ms T reap connections silent for more than T ms
     --help              print this help
 ";
@@ -108,9 +108,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--net-driver" => {
                 let v = value("--net-driver")?;
-                args.net_driver = NetDriver::parse(&v).ok_or_else(|| {
-                    format!("--net-driver: unknown driver {v} (use epoll|poll|threads)")
-                })?;
+                args.net_driver = NetDriver::parse(&v)
+                    .ok_or_else(|| format!("--net-driver: unknown driver {v} (use epoll|poll)"))?;
             }
             "--idle-timeout-ms" => {
                 args.idle_timeout_ms = Some(

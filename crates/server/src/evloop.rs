@@ -1,11 +1,10 @@
 //! Readiness-driven serving: one event-loop thread multiplexes every
 //! connection over epoll(7) (Linux) or poll(2) (portable fallback).
 //!
-//! The thread-per-connection driver in [`net`](crate::net) spends two
-//! OS threads (and two stacks) per connection; this module replaces
-//! that with per-connection **state machines** driven by readiness
-//! events, so 10 000 mostly-idle connections cost a few hundred bytes
-//! each instead of megabytes:
+//! This is the only connection driver [`net`](crate::net) runs. Each
+//! connection is a **state machine** driven by readiness events rather
+//! than a pair of OS threads, so 10 000 mostly-idle connections cost a
+//! few hundred bytes each instead of megabytes:
 //!
 //! ```text
 //!            readable                admitted             completion
@@ -21,17 +20,17 @@
 //!   encoded into pooled buffers recycled through the connection's
 //!   write queue.
 //! * **Vectored writes** — pipelined responses flush with a single
-//!   `writev` (up to [`MAX_IOVECS`] frames), continuing after partial
+//!   `writev` (up to `MAX_IOVECS` frames), continuing after partial
 //!   writes under `EPOLLOUT` interest.
 //! * **Completion wakeup** — shard workers ring a [`Waker`] (eventfd
 //!   on Linux, self-pipe elsewhere) after posting completions, so the
 //!   loop never blocks on a channel recv.
 //!
-//! The wire contract is identical to the threads driver — same bytes,
-//! same `Busy` backpressure (the client owns the retry), same
-//! abort-on-disconnect ordering (cleanup aborts are submitted only
-//! after every admitted request has completed, so an admitted commit
-//! always wins) — which `tests/driver_diff.rs` proves byte-for-byte.
+//! The wire contract: `Busy` backpressure is answered on the wire (the
+//! client owns the retry), and abort-on-disconnect cleanup is submitted
+//! only after every admitted request has completed, so an admitted
+//! commit always wins. `tests/driver_diff.rs` proves both backends put
+//! the same bytes on the wire as direct `shard::apply` calls.
 
 use crate::net::{Listener, NetConfig, ServeSummary, Stream};
 use crate::proto::{self, WireBody, WireOutcome, WireRequest, WireResponse};
@@ -233,7 +232,7 @@ pub fn raise_nofile(target: u64) -> io::Result<u64> {
 // ---------------------------------------------------------------------
 
 /// Cross-thread wakeup for a parked event loop: an eventfd on Linux, a
-/// nonblocking self-pipe elsewhere. Shard workers and reader threads
+/// nonblocking self-pipe elsewhere. Shard workers
 /// [`wake`](Waker::wake) after posting completions (see
 /// [`ShardHandle::submit_with_notify`]); the loop drains the fd and
 /// then the completion channel. Writes coalesce, so waking is cheap
@@ -575,8 +574,8 @@ impl WriteQueue {
         if proto::encode_response_frame_into(&mut buf, resp) {
             self.q.push_back(buf);
         } else {
-            // Over-size response: dropped, matching the blocking
-            // writer's ignored write_frame error.
+            // Over-size response: dropped (`write_frame` refuses it
+            // the same way).
             self.recycle(buf);
         }
     }
@@ -653,7 +652,7 @@ struct Conn {
     decoder: proto::FrameDecoder,
     wq: WriteQueue,
     /// Transactions this connection opened and has not yet resolved
-    /// (same key discipline as the threads driver's table).
+    /// keyed by (owning shard, txn id).
     open_txns: HashSet<(u32, u64)>,
     /// Admitted requests whose completions are still due.
     pending: usize,
@@ -774,8 +773,7 @@ impl EventLoop {
             let mut events = std::mem::take(&mut self.events);
             events.clear();
             if self.poller.wait(tick, &mut events).is_err() {
-                // Fatal poller failure: drain and shut down, like a
-                // fatal listener error under the threads driver.
+                // Fatal poller failure: drain and shut down.
                 self.stop.store(true, Ordering::SeqCst);
             }
             for &ev in &events {

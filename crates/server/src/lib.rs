@@ -15,15 +15,15 @@
 //!   deadlines, and a graceful shutdown that drains every queue.
 //! * [`proto`] — a length-prefixed binary wire protocol for the same
 //!   request set.
-//! * [`net`] — TCP and Unix-socket serving with two interchangeable
-//!   connection drivers (a readiness-driven event loop, default, and
-//!   the original thread-per-connection model — see [`NetDriver`]),
-//!   plus a blocking/pipelined [`Client`].
+//! * [`net`] — TCP and Unix-socket serving from one readiness-driven
+//!   event loop (epoll or poll backend — see [`NetDriver`]), plus a
+//!   blocking/pipelined [`Client`].
 //! * [`evloop`] — the event-loop internals: an epoll/poll readiness
 //!   shim over raw syscalls, a cross-thread [`Waker`], and the
 //!   per-connection state machines.
 //! * [`loadgen`] — an open- and closed-loop multi-client load generator
-//!   driving a skewed TPC-A-style mix (reusing [`envy_workload`]).
+//!   driving a skewed TPC-A-style mix (reusing [`envy_workload`]) in
+//!   process, over sockets, or against a monolithic store.
 //!
 //! The `envy-served` binary wraps [`net::serve`] as a daemon; see
 //! `docs/SERVING.md` for the frame layout, the sharding function, the

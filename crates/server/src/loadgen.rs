@@ -1,8 +1,12 @@
 //! Open- and closed-loop multi-client load generation.
 //!
 //! Each client thread drives a skewed TPC-A-style transaction mix
-//! (reusing [`envy_workload`]'s analytic driver) against either the
-//! in-process [`ShardHandle`] or a socket [`Client`]. Transactions pick
+//! (reusing [`envy_workload`]'s analytic driver) against the in-process
+//! [`ShardHandle`] ([`run_inproc`]), a socket [`Client`]
+//! ([`run_socket`]) or a monolithic store ([`run_monolithic`]). One
+//! copy of the client protocol runs all three behind a private
+//! `Transport` seam, so the determinism anchors compare transports, not
+//! separate implementations. Transactions pick
 //! a shard uniformly and run the full three-index search +
 //! read-modify-write access list of one TPC-A transaction against that
 //! shard's slice; account skew follows the `hot_weight` /
@@ -34,7 +38,6 @@ use envy_sim::stats::Histogram;
 use envy_sim::time::Ns;
 use envy_workload::tpca::{AnalyticTpca, TpcaScale, TraceAccess, Transaction};
 use envy_workload::ycsb::{YcsbConfig, YcsbOp, YcsbStream};
-use std::collections::HashMap;
 use std::io;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -179,7 +182,7 @@ impl LoadSpec {
 /// initial record, keys `0..records` in order, routed by
 /// `key % shards`. Both sides of the determinism anchor run exactly
 /// this sequence — the monolithic reference through
-/// [`apply`](crate::shard::apply), the served run over its connection —
+/// [`apply`], the served run over its connection —
 /// so the stores enter the measured phase byte-identical.
 pub fn ycsb_load_requests(config: &YcsbConfig, shards: u32) -> Vec<Request> {
     let shards = shards.max(1) as u64;
@@ -646,8 +649,9 @@ pub fn run_inproc(handle: &ShardHandle, spec: &LoadSpec) -> LoadReport {
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..spec.clients)
             .map(|c| {
-                let handle = handle.clone();
-                scope.spawn(move || inproc_client(&handle, spec, c, started))
+                let (tx, rx) = mpsc::channel();
+                let t = Inproc { handle, tx, rx };
+                scope.spawn(move || drive(t, spec, *handle.plan(), c, started))
             })
             .collect();
         for w in workers {
@@ -656,6 +660,257 @@ pub fn run_inproc(handle: &ShardHandle, spec: &LoadSpec) -> LoadReport {
     });
     total.wall = started.elapsed();
     total
+}
+
+/// Replay the workload a single in-process client would submit, applied
+/// synchronously to a monolithic store — the single-controller
+/// reference of the determinism anchor (a one-shard [`ShardedStore`]
+/// run with the same spec must land on exactly this store's simulated
+/// clock and controller statistics).
+///
+/// The transaction stream is regenerated from the spec's seed, not
+/// recorded, so only a single-submitter order is reproducible: the spec
+/// must use one client, a transaction count (not a duration), and no
+/// deadline. Open-loop pacing is ignored.
+///
+/// # Panics
+///
+/// If the spec uses more than one client, no transaction count, or a
+/// deadline — none of those orders are reproducible synchronously.
+///
+/// [`ShardedStore`]: crate::shard::ShardedStore
+pub fn run_monolithic(store: &mut EnvyStore, spec: &LoadSpec) -> LoadReport {
+    assert_eq!(
+        spec.clients, 1,
+        "the monolithic reference is single-submitter"
+    );
+    assert!(
+        spec.txns_per_client > 0,
+        "the monolithic reference needs a transaction count, not a duration"
+    );
+    assert!(
+        spec.deadline.is_none(),
+        "deadline expiry depends on wall-clock timing and is not replayable"
+    );
+    let spec = LoadSpec {
+        duration: None,
+        mode: LoadMode::Closed,
+        ..spec.clone()
+    };
+    let plan = ShardPlan::new(1, store.size());
+    drive(store, &spec, plan, 0, Instant::now())
+}
+
+/// Drive a load run over sockets: one [`Client`] connection per client
+/// thread, built by `connect`. The caller supplies the server's
+/// [`ShardPlan`] (shard count and slice size), which the wire protocol
+/// does not carry.
+///
+/// # Errors
+///
+/// The first connection error; established clients that later fail stop
+/// individually and their partial counts are merged.
+pub fn run_socket<F>(connect: F, plan: ShardPlan, spec: &LoadSpec) -> io::Result<LoadReport>
+where
+    F: Fn() -> io::Result<Client> + Sync,
+{
+    let started = Instant::now();
+    let mut clients = Vec::with_capacity(spec.clients as usize);
+    for _ in 0..spec.clients {
+        let mut client = connect()?;
+        // Corked: pipelined submits batch into one buffer that the next
+        // recv() flushes, so an N-op batch costs one write, not N.
+        client.set_corked(true)?;
+        clients.push(client);
+    }
+    let mut total = LoadReport::default();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = clients
+            .into_iter()
+            .enumerate()
+            .map(|(c, client)| scope.spawn(move || drive(client, spec, plan, c as u32, started)))
+            .collect();
+        for w in workers {
+            total.merge(&w.join().expect("socket load client panicked"));
+        }
+    });
+    total.wall = started.elapsed();
+    Ok(total)
+}
+
+/// How a load client reaches the store: the one seam between the client
+/// protocol below and the three ways of running it.
+trait Transport {
+    /// Pipeline `reqs` as one batch and return one result per request,
+    /// in request order. `Busy` refusals are retried after the hinted
+    /// sleep and counted in `report.busy_retries`. `None` means the
+    /// server or the connection is gone and the client should stop.
+    fn pipeline(
+        &mut self,
+        reqs: &[Request],
+        deadline: Option<Duration>,
+        report: &mut LoadReport,
+    ) -> Option<Vec<Result<Reply, ServeError>>>;
+}
+
+/// In process: `Busy` arrives at submit time; completions arrive on the
+/// client's own channel, reused across batches.
+struct Inproc<'a> {
+    handle: &'a ShardHandle,
+    tx: mpsc::Sender<Response>,
+    rx: mpsc::Receiver<Response>,
+}
+
+impl Transport for Inproc<'_> {
+    fn pipeline(
+        &mut self,
+        reqs: &[Request],
+        deadline: Option<Duration>,
+        report: &mut LoadReport,
+    ) -> Option<Vec<Result<Reply, ServeError>>> {
+        let mut results: Vec<Option<Result<Reply, ServeError>>> = vec![None; reqs.len()];
+        let mut ids = Vec::with_capacity(reqs.len());
+        for (i, req) in reqs.iter().enumerate() {
+            loop {
+                match self.handle.submit(req.clone(), deadline, &self.tx) {
+                    Ok(id) => {
+                        ids.push((id, i));
+                        break;
+                    }
+                    Err(SubmitError::Busy(b)) => {
+                        report.busy_retries += 1;
+                        std::thread::sleep(b.retry_after);
+                    }
+                    Err(SubmitError::Rejected(ServeError::ShuttingDown)) => return None,
+                    Err(SubmitError::Rejected(e)) => {
+                        results[i] = Some(Err(e));
+                        break;
+                    }
+                }
+            }
+        }
+        for _ in 0..ids.len() {
+            let resp = self.rx.recv().ok()?;
+            if let Some(&(_, i)) = ids.iter().find(|(id, _)| *id == resp.id) {
+                results[i] = Some(resp.result);
+            }
+        }
+        results.into_iter().collect()
+    }
+}
+
+/// Over a socket: `Busy` arrives as a response and is resubmitted under
+/// its original id.
+impl Transport for Client {
+    fn pipeline(
+        &mut self,
+        reqs: &[Request],
+        deadline: Option<Duration>,
+        report: &mut LoadReport,
+    ) -> Option<Vec<Result<Reply, ServeError>>> {
+        let mut results: Vec<Option<Result<Reply, ServeError>>> = vec![None; reqs.len()];
+        let mut ids = Vec::with_capacity(reqs.len());
+        for (i, req) in reqs.iter().enumerate() {
+            ids.push((self.submit(req.clone(), deadline).ok()?, i));
+        }
+        let mut pending = reqs.len();
+        while pending > 0 {
+            let resp = self.recv().ok()?;
+            let Some(&(id, i)) = ids.iter().find(|(id, _)| *id == resp.id) else {
+                continue;
+            };
+            match resp.outcome {
+                WireOutcome::Busy(b) => {
+                    report.busy_retries += 1;
+                    std::thread::sleep(b.retry_after);
+                    self.submit_with_id(id, reqs[i].clone(), deadline).ok()?;
+                }
+                WireOutcome::Err(ServeError::ShuttingDown) | WireOutcome::ShutdownAck => {
+                    return None
+                }
+                WireOutcome::Reply(reply) => {
+                    results[i] = Some(Ok(reply));
+                    pending -= 1;
+                }
+                WireOutcome::Err(e) => {
+                    results[i] = Some(Err(e));
+                    pending -= 1;
+                }
+            }
+        }
+        results.into_iter().collect()
+    }
+}
+
+/// Synchronously against one monolithic store, in request order.
+impl Transport for &mut EnvyStore {
+    fn pipeline(
+        &mut self,
+        reqs: &[Request],
+        _deadline: Option<Duration>,
+        _report: &mut LoadReport,
+    ) -> Option<Vec<Result<Reply, ServeError>>> {
+        Some(reqs.iter().map(|req| apply(self, req)).collect())
+    }
+}
+
+/// Send one request and await its result.
+fn call<T: Transport>(
+    t: &mut T,
+    req: Request,
+    report: &mut LoadReport,
+) -> Option<Result<Reply, ServeError>> {
+    t.pipeline(&[req], None, report)?.pop()
+}
+
+/// One client: draw transactions from its stream and run each through
+/// `t` until the spec's count or duration is reached, or the server
+/// goes away.
+fn drive<T: Transport>(
+    mut t: T,
+    spec: &LoadSpec,
+    plan: ShardPlan,
+    client: u32,
+    started: Instant,
+) -> LoadReport {
+    let mut stream = TxnStream::new(spec, plan, client);
+    let mut lp = ClientLoop::new(spec, started);
+    let mut reqs = Vec::new();
+    let mut backoff = Backoff::new(spec.seed ^ 0xB0FF ^ u64::from(client));
+    while let Some(t0) = lp.next_txn() {
+        stream.next_requests(&mut reqs);
+        let alive = if spec.abort_fraction.is_some() {
+            txn(&mut t, spec, &reqs, &mut lp.report, &mut backoff)
+        } else {
+            plain_txn(&mut t, spec, &reqs, &mut lp.report)
+        };
+        if alive.is_none() {
+            break;
+        }
+        lp.report
+            .txn_latency
+            .record(Ns::from_nanos(t0.elapsed().as_nanos() as u64));
+    }
+    lp.finish()
+}
+
+/// Run a non-atomic transaction: pipeline every access, count each
+/// outcome. `None` means the server is gone.
+fn plain_txn<T: Transport>(
+    t: &mut T,
+    spec: &LoadSpec,
+    reqs: &[Request],
+    report: &mut LoadReport,
+) -> Option<()> {
+    for result in t.pipeline(reqs, spec.deadline, report)? {
+        match result {
+            Ok(_) => report.completed_ops += 1,
+            Err(ServeError::DeadlineExceeded) => report.timeouts += 1,
+            Err(_) => report.errors += 1,
+        }
+    }
+    report.completed_txns += 1;
+    Some(())
 }
 
 /// Base delay before retrying a refused transactional request (a
@@ -702,86 +957,6 @@ impl Backoff {
     }
 }
 
-fn inproc_client(
-    handle: &ShardHandle,
-    spec: &LoadSpec,
-    client: u32,
-    started: Instant,
-) -> LoadReport {
-    let mut stream = TxnStream::new(spec, *handle.plan(), client);
-    let mut lp = ClientLoop::new(spec, started);
-    let (tx, rx) = mpsc::channel::<Response>();
-    let mut reqs = Vec::new();
-    let mut backoff = Backoff::new(spec.seed ^ 0xB0FF ^ u64::from(client));
-    let atomic = spec.abort_fraction.is_some();
-    while let Some(t0) = lp.next_txn() {
-        stream.next_requests(&mut reqs);
-        if atomic {
-            if inproc_txn(handle, spec, &reqs, &tx, &rx, &mut lp.report, &mut backoff).is_none() {
-                return lp.finish();
-            }
-            lp.report
-                .txn_latency
-                .record(Ns::from_nanos(t0.elapsed().as_nanos() as u64));
-            continue;
-        }
-        let mut outstanding = 0usize;
-        for req in &reqs {
-            loop {
-                match handle.submit(req.clone(), spec.deadline, &tx) {
-                    Ok(_) => {
-                        outstanding += 1;
-                        break;
-                    }
-                    Err(SubmitError::Busy(b)) => {
-                        lp.report.busy_retries += 1;
-                        std::thread::sleep(b.retry_after);
-                    }
-                    Err(SubmitError::Rejected(ServeError::ShuttingDown)) => {
-                        drain(&rx, outstanding, &mut lp.report);
-                        return lp.finish();
-                    }
-                    Err(SubmitError::Rejected(_)) => {
-                        lp.report.errors += 1;
-                        break;
-                    }
-                }
-            }
-        }
-        drain(&rx, outstanding, &mut lp.report);
-        lp.report.completed_txns += 1;
-        lp.report
-            .txn_latency
-            .record(Ns::from_nanos(t0.elapsed().as_nanos() as u64));
-    }
-    lp.finish()
-}
-
-/// Submit one request (no pipelining) and await its completion.
-/// `None` means the server is shutting down or the completion channel
-/// died — the client should stop.
-fn call_inproc(
-    handle: &ShardHandle,
-    req: &Request,
-    deadline: Option<Duration>,
-    tx: &mpsc::Sender<Response>,
-    rx: &mpsc::Receiver<Response>,
-    report: &mut LoadReport,
-) -> Option<Result<Reply, ServeError>> {
-    loop {
-        match handle.submit(req.clone(), deadline, tx) {
-            Ok(_) => break,
-            Err(SubmitError::Busy(b)) => {
-                report.busy_retries += 1;
-                std::thread::sleep(b.retry_after);
-            }
-            Err(SubmitError::Rejected(ServeError::ShuttingDown)) => return None,
-            Err(SubmitError::Rejected(e)) => return Some(Err(e)),
-        }
-    }
-    rx.recv().ok().map(|resp| resp.result)
-}
-
 /// How one attempt of an atomic transaction ended.
 enum TxnAttempt {
     /// Committed, deliberately aborted, or failed on a non-conflict
@@ -792,26 +967,24 @@ enum TxnAttempt {
     Conflicted,
 }
 
-/// Run one atomic transaction against the in-process handle: begin
-/// (retrying slot-full refusals with jittered backoff), pipeline the
-/// body under the assigned id, then commit — or abort, when the stream
-/// said so or any body access failed. A write-set conflict aborts the
-/// attempt and retries the whole transaction, up to [`TXN_RETRY_CAP`]
-/// times. Begin and the commit/abort run without the per-request
-/// deadline: a transaction, once opened, must be resolved.
+/// Run one atomic transaction: begin (retrying slot-full refusals with
+/// jittered backoff), pipeline the body under the assigned id, then
+/// commit — or abort, when the stream said so or any body access
+/// failed. A write-set conflict aborts the attempt and retries the
+/// whole transaction, up to [`TXN_RETRY_CAP`] times. Begin and the
+/// commit/abort run without the per-request deadline: a transaction,
+/// once opened, must be resolved.
 ///
-/// `None` means the server is shutting down.
-fn inproc_txn(
-    handle: &ShardHandle,
+/// `None` means the server is gone.
+fn txn<T: Transport>(
+    t: &mut T,
     spec: &LoadSpec,
     reqs: &[Request],
-    tx: &mpsc::Sender<Response>,
-    rx: &mpsc::Receiver<Response>,
     report: &mut LoadReport,
     backoff: &mut Backoff,
 ) -> Option<()> {
     for _ in 0..TXN_RETRY_CAP {
-        match inproc_txn_once(handle, spec, reqs, tx, rx, report, backoff)? {
+        match txn_once(t, spec, reqs, report, backoff)? {
             TxnAttempt::Resolved => return Some(()),
             TxnAttempt::Conflicted => {
                 report.txn_conflict_retries += 1;
@@ -823,19 +996,17 @@ fn inproc_txn(
     Some(())
 }
 
-fn inproc_txn_once(
-    handle: &ShardHandle,
+fn txn_once<T: Transport>(
+    t: &mut T,
     spec: &LoadSpec,
     reqs: &[Request],
-    tx: &mpsc::Sender<Response>,
-    rx: &mpsc::Receiver<Response>,
     report: &mut LoadReport,
     backoff: &mut Backoff,
 ) -> Option<TxnAttempt> {
     let (begin, rest) = reqs.split_first().expect("atomic txn has a begin");
     let (tail, body) = rest.split_last().expect("atomic txn has a commit/abort");
     let txn = loop {
-        match call_inproc(handle, begin, None, tx, rx, report)? {
+        match call(t, begin.clone(), report)? {
             Ok(Reply::TxnStarted { txn }) => {
                 report.completed_ops += 1;
                 backoff.reset();
@@ -852,52 +1023,25 @@ fn inproc_txn_once(
             }
         }
     };
-    let mut outstanding = 0usize;
+    let body: Vec<Request> = body.iter().map(|req| patch_txn(req, txn)).collect();
     let mut clean = true;
     let mut conflicted = false;
-    for req in body {
-        let req = patch_txn(req, txn);
-        loop {
-            match handle.submit(req.clone(), spec.deadline, tx) {
-                Ok(_) => {
-                    outstanding += 1;
-                    break;
-                }
-                Err(SubmitError::Busy(b)) => {
-                    report.busy_retries += 1;
-                    std::thread::sleep(b.retry_after);
-                }
-                Err(SubmitError::Rejected(ServeError::ShuttingDown)) => {
-                    drain(rx, outstanding, report);
-                    return None;
-                }
-                Err(SubmitError::Rejected(_)) => {
-                    report.errors += 1;
-                    clean = false;
-                    break;
-                }
+    for result in t.pipeline(&body, spec.deadline, report)? {
+        match result {
+            Ok(_) => report.completed_ops += 1,
+            Err(ServeError::DeadlineExceeded) => {
+                report.timeouts += 1;
+                clean = false;
             }
-        }
-    }
-    for _ in 0..outstanding {
-        match rx.recv() {
-            Ok(resp) => match resp.result {
-                Ok(_) => report.completed_ops += 1,
-                Err(ServeError::DeadlineExceeded) => {
-                    report.timeouts += 1;
-                    clean = false;
-                }
-                Err(ServeError::TxnConflict) => {
-                    report.txn_conflict_refusals += 1;
-                    clean = false;
-                    conflicted = true;
-                }
-                Err(_) => {
-                    report.errors += 1;
-                    clean = false;
-                }
-            },
-            Err(_) => return None,
+            Err(ServeError::TxnConflict) => {
+                report.txn_conflict_refusals += 1;
+                clean = false;
+                conflicted = true;
+            }
+            Err(_) => {
+                report.errors += 1;
+                clean = false;
+            }
         }
     }
     let tail = if clean {
@@ -910,7 +1054,7 @@ fn inproc_txn_once(
         };
         Request::TxnAbort { shard: *shard, txn }
     };
-    match call_inproc(handle, &tail, None, tx, rx, report)? {
+    match call(t, tail, report)? {
         Ok(Reply::Committed { .. }) => {
             report.completed_txns += 1;
             report.completed_ops += 1;
@@ -919,374 +1063,6 @@ fn inproc_txn_once(
             // A conflict-forced abort is bookkeeping for the retry, not
             // a resolved transaction; only deliberate (or error-forced)
             // aborts count.
-            if !conflicted {
-                report.aborted_txns += 1;
-            }
-            report.completed_ops += 1;
-        }
-        Ok(other) => unreachable!("commit/abort answered {other:?}"),
-        Err(_) => report.errors += 1,
-    }
-    Some(if conflicted {
-        TxnAttempt::Conflicted
-    } else {
-        TxnAttempt::Resolved
-    })
-}
-
-fn drain(rx: &mpsc::Receiver<Response>, outstanding: usize, report: &mut LoadReport) {
-    for _ in 0..outstanding {
-        match rx.recv() {
-            Ok(resp) => match resp.result {
-                Ok(_) => report.completed_ops += 1,
-                Err(ServeError::DeadlineExceeded) => report.timeouts += 1,
-                Err(_) => report.errors += 1,
-            },
-            Err(_) => return,
-        }
-    }
-}
-
-/// Replay the workload a single in-process client would submit, applied
-/// synchronously to a monolithic store — the single-controller
-/// reference of the determinism anchor (a one-shard [`ShardedStore`]
-/// run with the same spec must land on exactly this store's simulated
-/// clock and controller statistics).
-///
-/// The transaction stream is regenerated from the spec's seed, not
-/// recorded, so only a single-submitter order is reproducible: the spec
-/// must use one client, a transaction count (not a duration), and no
-/// deadline.
-///
-/// # Panics
-///
-/// If the spec uses more than one client, no transaction count, or a
-/// deadline — none of those orders are reproducible synchronously.
-///
-/// [`ShardedStore`]: crate::shard::ShardedStore
-pub fn run_monolithic(store: &mut EnvyStore, spec: &LoadSpec) -> LoadReport {
-    assert_eq!(
-        spec.clients, 1,
-        "the monolithic reference is single-submitter"
-    );
-    assert!(
-        spec.txns_per_client > 0,
-        "the monolithic reference needs a transaction count, not a duration"
-    );
-    assert!(
-        spec.deadline.is_none(),
-        "deadline expiry depends on wall-clock timing and is not replayable"
-    );
-    let plan = ShardPlan::new(1, store.size());
-    let mut stream = TxnStream::new(spec, plan, 0);
-    let started = Instant::now();
-    let mut report = LoadReport::default();
-    let mut reqs = Vec::new();
-    let atomic = spec.abort_fraction.is_some();
-    for _ in 0..spec.txns_per_client {
-        let t0 = Instant::now();
-        stream.next_requests(&mut reqs);
-        if atomic {
-            // Same protocol order as a served client: begin, body under
-            // the assigned id, commit/abort — so the one-shard served
-            // run and this replay stay op-for-op identical.
-            let (begin, rest) = reqs.split_first().expect("atomic txn has a begin");
-            let (tail, body) = rest.split_last().expect("atomic txn has a commit/abort");
-            let txn = match apply(store, begin) {
-                Ok(Reply::TxnStarted { txn }) => txn,
-                other => panic!("monolithic begin answered {other:?}"),
-            };
-            report.completed_ops += 1;
-            for req in body {
-                match apply(store, &patch_txn(req, txn)) {
-                    Ok(_) => report.completed_ops += 1,
-                    Err(_) => report.errors += 1,
-                }
-            }
-            match apply(store, &patch_txn(tail, txn)) {
-                Ok(Reply::Committed { .. }) => {
-                    report.completed_txns += 1;
-                    report.completed_ops += 1;
-                }
-                Ok(Reply::Aborted { .. }) => {
-                    report.aborted_txns += 1;
-                    report.completed_ops += 1;
-                }
-                other => panic!("monolithic commit/abort answered {other:?}"),
-            }
-        } else {
-            for req in &reqs {
-                match apply(store, req) {
-                    Ok(_) => report.completed_ops += 1,
-                    Err(_) => report.errors += 1,
-                }
-            }
-            report.completed_txns += 1;
-        }
-        report
-            .txn_latency
-            .record(Ns::from_nanos(t0.elapsed().as_nanos() as u64));
-    }
-    report.wall = started.elapsed();
-    report
-}
-
-/// Drive a load run over sockets: one [`Client`] connection per client
-/// thread, built by `connect`. The caller supplies the server's
-/// [`ShardPlan`] (shard count and slice size), which the wire protocol
-/// does not carry.
-///
-/// # Errors
-///
-/// The first connection error; established clients that later fail stop
-/// individually and their partial counts are merged.
-pub fn run_socket<F>(connect: F, plan: ShardPlan, spec: &LoadSpec) -> io::Result<LoadReport>
-where
-    F: Fn() -> io::Result<Client> + Sync,
-{
-    let started = Instant::now();
-    let mut clients = Vec::with_capacity(spec.clients as usize);
-    for _ in 0..spec.clients {
-        clients.push(connect()?);
-    }
-    let mut total = LoadReport::default();
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = clients
-            .into_iter()
-            .enumerate()
-            .map(|(c, client)| {
-                scope.spawn(move || socket_client(client, spec, plan, c as u32, started))
-            })
-            .collect();
-        for w in workers {
-            total.merge(&w.join().expect("socket load client panicked"));
-        }
-    });
-    total.wall = started.elapsed();
-    Ok(total)
-}
-
-fn socket_client(
-    mut client: Client,
-    spec: &LoadSpec,
-    plan: ShardPlan,
-    idx: u32,
-    started: Instant,
-) -> LoadReport {
-    // Cork the client: pipelined submits batch into one buffer that
-    // the next recv() flushes, so an N-op transaction costs one write
-    // syscall instead of N.
-    let _ = client.set_corked(true);
-    let mut stream = TxnStream::new(spec, plan, idx);
-    let mut lp = ClientLoop::new(spec, started);
-    let mut reqs = Vec::new();
-    let mut pending: HashMap<u64, Request> = HashMap::new();
-    let mut backoff = Backoff::new(spec.seed ^ 0xB0FF ^ u64::from(idx));
-    let atomic = spec.abort_fraction.is_some();
-    while let Some(t0) = lp.next_txn() {
-        stream.next_requests(&mut reqs);
-        if atomic {
-            if socket_txn(&mut client, spec, &reqs, &mut lp.report, &mut backoff).is_none() {
-                return lp.finish();
-            }
-            lp.report
-                .txn_latency
-                .record(Ns::from_nanos(t0.elapsed().as_nanos() as u64));
-            continue;
-        }
-        pending.clear();
-        for req in &reqs {
-            match client.submit(req.clone(), spec.deadline) {
-                Ok(id) => {
-                    pending.insert(id, req.clone());
-                }
-                Err(_) => return lp.finish(),
-            }
-        }
-        // Await the whole transaction; Busy rejections are resubmitted
-        // under their original id after the hinted backoff.
-        while !pending.is_empty() {
-            let resp = match client.recv() {
-                Ok(resp) => resp,
-                Err(_) => return lp.finish(),
-            };
-            match resp.outcome {
-                WireOutcome::Busy(b) => {
-                    if let Some(req) = pending.get(&resp.id).cloned() {
-                        lp.report.busy_retries += 1;
-                        std::thread::sleep(b.retry_after);
-                        if client.submit_with_id(resp.id, req, spec.deadline).is_err() {
-                            return lp.finish();
-                        }
-                    }
-                }
-                WireOutcome::Reply(_) => {
-                    pending.remove(&resp.id);
-                    lp.report.completed_ops += 1;
-                }
-                WireOutcome::Err(ServeError::DeadlineExceeded) => {
-                    pending.remove(&resp.id);
-                    lp.report.timeouts += 1;
-                }
-                WireOutcome::Err(ServeError::ShuttingDown) => {
-                    pending.remove(&resp.id);
-                    return lp.finish();
-                }
-                WireOutcome::Err(_) => {
-                    pending.remove(&resp.id);
-                    lp.report.errors += 1;
-                }
-                WireOutcome::ShutdownAck => return lp.finish(),
-            }
-        }
-        lp.report.completed_txns += 1;
-        lp.report
-            .txn_latency
-            .record(Ns::from_nanos(t0.elapsed().as_nanos() as u64));
-    }
-    lp.finish()
-}
-
-/// Submit one request over the socket and await its completion,
-/// resubmitting through `Busy` backpressure under the original id.
-/// `None` means the connection or server is gone.
-fn call_socket(
-    client: &mut Client,
-    req: &Request,
-    deadline: Option<Duration>,
-    report: &mut LoadReport,
-) -> Option<Result<Reply, ServeError>> {
-    let id = client.submit(req.clone(), deadline).ok()?;
-    loop {
-        let resp = client.recv().ok()?;
-        debug_assert_eq!(resp.id, id, "atomic txns submit one op at a time");
-        match resp.outcome {
-            WireOutcome::Reply(reply) => return Some(Ok(reply)),
-            WireOutcome::Err(e) => return Some(Err(e)),
-            WireOutcome::Busy(b) => {
-                report.busy_retries += 1;
-                std::thread::sleep(b.retry_after);
-                client.submit_with_id(id, req.clone(), deadline).ok()?;
-            }
-            WireOutcome::ShutdownAck => return None,
-        }
-    }
-}
-
-/// [`inproc_txn`]'s socket twin: begin (retrying slot-full refusals
-/// with jittered backoff), pipeline the body under the assigned id,
-/// commit — or abort on the seeded decision or any body failure.
-/// Write-set conflicts abort the attempt and retry the transaction
-/// whole, up to [`TXN_RETRY_CAP`] times. `None` means the connection or
-/// server is gone.
-fn socket_txn(
-    client: &mut Client,
-    spec: &LoadSpec,
-    reqs: &[Request],
-    report: &mut LoadReport,
-    backoff: &mut Backoff,
-) -> Option<()> {
-    for _ in 0..TXN_RETRY_CAP {
-        match socket_txn_once(client, spec, reqs, report, backoff)? {
-            TxnAttempt::Resolved => return Some(()),
-            TxnAttempt::Conflicted => {
-                report.txn_conflict_retries += 1;
-                backoff.pause(None);
-            }
-        }
-    }
-    report.errors += 1;
-    Some(())
-}
-
-fn socket_txn_once(
-    client: &mut Client,
-    spec: &LoadSpec,
-    reqs: &[Request],
-    report: &mut LoadReport,
-    backoff: &mut Backoff,
-) -> Option<TxnAttempt> {
-    let (begin, rest) = reqs.split_first().expect("atomic txn has a begin");
-    let (tail, body) = rest.split_last().expect("atomic txn has a commit/abort");
-    let txn = loop {
-        match call_socket(client, begin, None, report)? {
-            Ok(Reply::TxnStarted { txn }) => {
-                report.completed_ops += 1;
-                backoff.reset();
-                break txn;
-            }
-            Ok(other) => unreachable!("begin answered {other:?}"),
-            Err(ServeError::TxnBusy) => {
-                report.txn_conflicts += 1;
-                backoff.pause(None);
-            }
-            Err(_) => {
-                report.errors += 1;
-                return Some(TxnAttempt::Resolved);
-            }
-        }
-    };
-    // Pipeline the body; Busy rejections resubmit under their id.
-    let mut pending: HashMap<u64, Request> = HashMap::new();
-    for req in body {
-        let req = patch_txn(req, txn);
-        match client.submit(req.clone(), spec.deadline) {
-            Ok(id) => {
-                pending.insert(id, req);
-            }
-            Err(_) => return None,
-        }
-    }
-    let mut clean = true;
-    let mut conflicted = false;
-    while !pending.is_empty() {
-        let resp = client.recv().ok()?;
-        match resp.outcome {
-            WireOutcome::Busy(b) => {
-                if let Some(req) = pending.get(&resp.id).cloned() {
-                    report.busy_retries += 1;
-                    std::thread::sleep(b.retry_after);
-                    client.submit_with_id(resp.id, req, spec.deadline).ok()?;
-                }
-            }
-            WireOutcome::Reply(_) => {
-                pending.remove(&resp.id);
-                report.completed_ops += 1;
-            }
-            WireOutcome::Err(ServeError::DeadlineExceeded) => {
-                pending.remove(&resp.id);
-                report.timeouts += 1;
-                clean = false;
-            }
-            WireOutcome::Err(ServeError::ShuttingDown) => return None,
-            WireOutcome::Err(ServeError::TxnConflict) => {
-                pending.remove(&resp.id);
-                report.txn_conflict_refusals += 1;
-                clean = false;
-                conflicted = true;
-            }
-            WireOutcome::Err(_) => {
-                pending.remove(&resp.id);
-                report.errors += 1;
-                clean = false;
-            }
-            WireOutcome::ShutdownAck => return None,
-        }
-    }
-    let tail = if clean {
-        patch_txn(tail, txn)
-    } else {
-        let (Request::TxnCommit { shard, .. } | Request::TxnAbort { shard, .. }) = tail else {
-            unreachable!("atomic txn tail is commit/abort")
-        };
-        Request::TxnAbort { shard: *shard, txn }
-    };
-    match call_socket(client, &tail, None, report)? {
-        Ok(Reply::Committed { .. }) => {
-            report.completed_txns += 1;
-            report.completed_ops += 1;
-        }
-        Ok(Reply::Aborted { .. }) => {
             if !conflicted {
                 report.aborted_txns += 1;
             }

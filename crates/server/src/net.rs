@@ -1,62 +1,51 @@
-//! TCP and Unix-socket serving over the [`proto`](crate::proto) frames.
+//! TCP and Unix-socket serving over the [`proto`] frames.
 //!
-//! Two interchangeable connection drivers sit behind one wire
-//! contract, selected by [`NetConfig::driver`]:
+//! [`serve_with`] runs one readiness-driven event loop
+//! ([`evloop`](crate::evloop)): a single thread multiplexes every
+//! connection with nonblocking sockets, incremental frame decoding and
+//! vectored writes, and scales to tens of thousands of connections.
+//! [`NetConfig::driver`] only picks its poller backend:
 //!
-//! * [`NetDriver::Epoll`] (default) — a readiness-driven event loop
-//!   ([`evloop`](crate::evloop)): one thread multiplexes every
-//!   connection with nonblocking sockets, incremental frame decoding
-//!   and vectored writes. Scales to tens of thousands of connections.
-//! * [`NetDriver::Threads`] — the original thread-per-connection
-//!   model: each accepted connection gets a reader thread (decodes
-//!   frames, admits requests into the sharded store) and a writer
-//!   thread (drains typed completions back onto the socket). Kept as
-//!   the A/B reference; `tests/driver_diff.rs` proves both drivers
-//!   produce identical wire bytes.
+//! * [`NetDriver::Epoll`] (default) — epoll(7) on Linux, poll(2)
+//!   elsewhere.
+//! * [`NetDriver::Poll`] — the portable poll(2) backend everywhere;
+//!   `tests/driver_diff.rs` proves both backends put the same bytes on
+//!   the wire as direct `shard::apply` calls.
 //!
-//! Under either driver requests **pipeline** — a client may have any
-//! number outstanding and completions may return out of order, matched
-//! by id.
+//! Requests **pipeline** — a client may have any number outstanding
+//! and completions may return out of order, matched by id.
 //!
 //! Graceful shutdown (via [`ServerHandle::request_shutdown`] or the
 //! wire `SHUTDOWN` opcode) stops accepting, stops reading, lets every
-//! admitted request complete and flush to its client, joins the
-//! connection threads, and only then drains the sharded store itself.
-//! A connection that dies mid-pipeline only loses its own completions:
-//! its writer keeps draining (discarding) so shard workers never block
-//! on a dead client, and every other connection is untouched.
+//! admitted request complete and flush to its client, and only then
+//! drains the sharded store itself. A connection that dies
+//! mid-pipeline only loses its own completions: the loop keeps
+//! draining (discarding) them so shard workers never block on a dead
+//! client, and every other connection is untouched.
 //!
 //! # Transactions and disconnects
 //!
 //! A transaction opened over the wire is owned by the connection that
-//! opened it. When a connection ends — clean EOF, socket error, or
-//! server shutdown — any transaction it started and never resolved is
-//! **aborted** on its shard, so a crashed client cannot pin shadow
-//! pages (and the shard's single transaction slot) forever. The abort
-//! happens after the writer drains, so a commit or abort that was
-//! already admitted always wins over the disconnect cleanup.
+//! opened it. When a connection ends — clean EOF, socket error, idle
+//! timeout, or server shutdown — any transaction it started and never
+//! resolved is **aborted** on its shard, so a crashed client cannot pin
+//! shadow pages (and the shard's transaction slots) forever. The abort
+//! is submitted only after every admitted request of the connection has
+//! completed, so a commit or abort that was already admitted always
+//! wins over the disconnect cleanup.
 
-use crate::proto::{self, ProtoError, WireBody, WireOutcome, WireRequest, WireResponse, MAX_FRAME};
-use crate::shard::{
-    Reply, Request, Response, ServeError, ServeOutcome, ShardHandle, ShardedStore, SubmitError,
-};
-use std::collections::HashSet;
+use crate::proto::{self, ProtoError, WireBody, WireOutcome, WireRequest, WireResponse};
+use crate::shard::{Reply, Request, ServeError, ServeOutcome, ShardedStore};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// How long a blocked reader waits before re-checking the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
-/// Accept-loop poll interval.
-const ACCEPT_INTERVAL: Duration = Duration::from_millis(5);
+use std::time::Duration;
 
 // ---------------------------------------------------------------------
 // Streams and listeners
@@ -70,20 +59,6 @@ pub(crate) enum Stream {
 }
 
 impl Stream {
-    fn try_clone(&self) -> io::Result<Stream> {
-        Ok(match self {
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
-            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
-        })
-    }
-
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_read_timeout(timeout),
-            Stream::Unix(s) => s.set_read_timeout(timeout),
-        }
-    }
-
     pub(crate) fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_nonblocking(nb),
@@ -179,9 +154,16 @@ impl Listener {
         }
     }
 
+    /// Accept one connection. TCP streams get `TCP_NODELAY`: the event
+    /// loop may flush one response batch in several writes, and Nagle
+    /// would hold the tail of it for the peer's delayed ACK.
     pub(crate) fn accept(&self) -> io::Result<Stream> {
         Ok(match self {
-            Listener::Tcp(l) => Stream::Tcp(l.accept()?.0),
+            Listener::Tcp(l) => {
+                let s = l.accept()?.0;
+                s.set_nodelay(true)?;
+                Stream::Tcp(s)
+            }
             Listener::Unix(l, _) => Stream::Unix(l.accept()?.0),
         })
     }
@@ -198,7 +180,7 @@ impl Listener {
 // Driver selection
 // ---------------------------------------------------------------------
 
-/// Which connection-handling driver [`serve_with`] runs.
+/// Which poller backend the [`serve_with`] event loop runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NetDriver {
     /// Readiness-driven event loop; epoll(7) on Linux, poll(2)
@@ -210,18 +192,14 @@ pub enum NetDriver {
     /// even where epoll is available. Useful for A/B-testing the
     /// fallback path.
     Poll,
-    /// Thread-per-connection: a reader and a writer thread per
-    /// accepted connection.
-    Threads,
 }
 
 impl NetDriver {
-    /// Parse a `--net-driver` flag value (`threads`, `epoll`, `poll`).
+    /// Parse a `--net-driver` flag value (`epoll`, `poll`).
     pub fn parse(s: &str) -> Option<NetDriver> {
         match s {
             "epoll" => Some(NetDriver::Epoll),
             "poll" => Some(NetDriver::Poll),
-            "threads" => Some(NetDriver::Threads),
             _ => None,
         }
     }
@@ -231,7 +209,6 @@ impl NetDriver {
         match self {
             NetDriver::Epoll => "epoll",
             NetDriver::Poll => "poll",
-            NetDriver::Threads => "threads",
         }
     }
 }
@@ -239,7 +216,7 @@ impl NetDriver {
 /// Serving configuration beyond the listener itself.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NetConfig {
-    /// Connection driver (default [`NetDriver::Epoll`]).
+    /// Poller backend (default [`NetDriver::Epoll`]).
     pub driver: NetDriver,
     /// Close a connection whose read side has been silent this long
     /// (its open transactions are aborted exactly as on disconnect).
@@ -255,7 +232,6 @@ impl NetConfig {
             #[cfg(not(target_os = "linux"))]
             NetDriver::Epoll => crate::evloop::Backend::Poll,
             NetDriver::Poll => crate::evloop::Backend::Poll,
-            NetDriver::Threads => unreachable!("threads driver has no poller backend"),
         }
     }
 }
@@ -299,9 +275,9 @@ impl ServerHandle {
     ///
     /// # Panics
     ///
-    /// Panics if the accept thread panicked.
+    /// Panics if the event-loop thread panicked.
     pub fn wait(self) -> ServeSummary {
-        self.join.join().expect("server accept thread panicked")
+        self.join.join().expect("server event-loop thread panicked")
     }
 
     /// [`request_shutdown`](ServerHandle::request_shutdown) then
@@ -323,12 +299,13 @@ pub fn serve(listener: Listener, store: ShardedStore) -> io::Result<ServerHandle
     serve_with(listener, store, NetConfig::default())
 }
 
-/// [`serve`] with an explicit driver and idle-timeout configuration.
+/// [`serve`] with an explicit poller backend and idle-timeout
+/// configuration.
 ///
 /// # Errors
 ///
-/// Socket errors configuring the listener, or (for the event-loop
-/// drivers) setting up the poller/waker.
+/// Socket errors configuring the listener, or setting up the
+/// poller/waker.
 pub fn serve_with(
     listener: Listener,
     store: ShardedStore,
@@ -338,315 +315,12 @@ pub fn serve_with(
     let addr = listener.describe();
     let stop = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&stop);
-    let join = match cfg.driver {
-        NetDriver::Threads => std::thread::Builder::new()
-            .name("envy-serve-accept".into())
-            .spawn(move || accept_loop(listener, store, flag, cfg.idle_timeout))
-            .expect("spawn accept thread"),
-        NetDriver::Epoll | NetDriver::Poll => {
-            let evloop = crate::evloop::EventLoop::new(listener, store, cfg, flag)?;
-            std::thread::Builder::new()
-                .name("envy-serve-evloop".into())
-                .spawn(move || evloop.run())
-                .expect("spawn event-loop thread")
-        }
-    };
+    let evloop = crate::evloop::EventLoop::new(listener, store, cfg, flag)?;
+    let join = std::thread::Builder::new()
+        .name("envy-serve-evloop".into())
+        .spawn(move || evloop.run())
+        .expect("spawn event-loop thread");
     Ok(ServerHandle { addr, stop, join })
-}
-
-fn accept_loop(
-    listener: Listener,
-    store: ShardedStore,
-    stop: Arc<AtomicBool>,
-    idle_timeout: Option<Duration>,
-) -> ServeSummary {
-    let requests = Arc::new(AtomicU64::new(0));
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    let mut connections = 0u64;
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(stream) => {
-                connections += 1;
-                let handle = store.handle();
-                let flag = Arc::clone(&stop);
-                let reqs = Arc::clone(&requests);
-                conns.push(
-                    std::thread::Builder::new()
-                        .name(format!("envy-serve-conn-{connections}"))
-                        .spawn(move || connection(stream, handle, flag, reqs, idle_timeout))
-                        .expect("spawn connection thread"),
-                );
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_INTERVAL);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            // A fatal listener error stops the server gracefully.
-            Err(_) => stop.store(true, Ordering::SeqCst),
-        }
-        conns.retain(|c| !c.is_finished());
-    }
-    for c in conns {
-        let _ = c.join();
-    }
-    if let Listener::Unix(_, path) = &listener {
-        let _ = std::fs::remove_file(path);
-    }
-    drop(listener);
-    let outcome = store.shutdown();
-    ServeSummary {
-        connections,
-        requests: requests.load(Ordering::Relaxed),
-        outcome,
-    }
-}
-
-/// One poll step of the incremental frame reader.
-enum PollRead {
-    /// A complete frame payload.
-    Frame(Vec<u8>),
-    /// No complete frame yet (timeout); buffered bytes are retained.
-    Idle,
-    /// Peer closed cleanly at a frame boundary.
-    Eof,
-}
-
-/// Incremental frame reader: accumulates across read timeouts so a
-/// timeout mid-frame never loses sync.
-struct FrameReader {
-    stream: Stream,
-    buf: Vec<u8>,
-}
-
-impl FrameReader {
-    fn poll(&mut self) -> io::Result<PollRead> {
-        let mut chunk = [0u8; 4096];
-        loop {
-            if self.buf.len() >= 4 {
-                let len =
-                    u32::from_le_bytes(self.buf[..4].try_into().expect("4-byte header")) as usize;
-                if len > MAX_FRAME {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "announced frame exceeds MAX_FRAME",
-                    ));
-                }
-                if self.buf.len() >= 4 + len {
-                    let payload = self.buf[4..4 + len].to_vec();
-                    self.buf.drain(..4 + len);
-                    return Ok(PollRead::Frame(payload));
-                }
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return if self.buf.is_empty() {
-                        Ok(PollRead::Eof)
-                    } else {
-                        Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "eof inside frame",
-                        ))
-                    };
-                }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(PollRead::Idle);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
-fn wire_of(resp: Response) -> WireResponse {
-    WireResponse {
-        id: resp.id,
-        shard: resp.shard,
-        outcome: match resp.result {
-            Ok(reply) => WireOutcome::Reply(reply),
-            Err(e) => WireOutcome::Err(e),
-        },
-    }
-}
-
-fn send_direct(write: &Mutex<Stream>, resp: &WireResponse) {
-    let frame = proto::encode_response(resp);
-    let mut w = write.lock().expect("write half poisoned");
-    let _ = proto::write_frame(&mut *w, &frame);
-}
-
-fn connection(
-    stream: Stream,
-    handle: ShardHandle,
-    stop: Arc<AtomicBool>,
-    requests: Arc<AtomicU64>,
-    idle_timeout: Option<Duration>,
-) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
-        return;
-    }
-    let write = Arc::new(Mutex::new(write_half));
-    let (rtx, rrx) = mpsc::channel::<Response>();
-    // Transactions this connection opened and has not yet resolved,
-    // keyed by (owning shard, txn id) — ids are globally unique across
-    // shards (disjoint residues, see `ShardedStore::launch_from`), but
-    // the shard is kept in the key anyway so an id alone can never
-    // resolve the wrong entry. The writer thread maintains the set from
-    // the completion stream (it sees every TxnStarted / Committed /
-    // Aborted in shard order), and the tail of `connection` aborts
-    // whatever is left after a disconnect.
-    let open_txns: Arc<Mutex<HashSet<(u32, u64)>>> = Arc::new(Mutex::new(HashSet::new()));
-    // Writer: drain completions onto the socket. Write errors (dead
-    // client) are swallowed — the drain must continue so shard workers
-    // are never coupled to a client's fate.
-    let writer = {
-        let write = Arc::clone(&write);
-        let open_txns = Arc::clone(&open_txns);
-        std::thread::Builder::new()
-            .name("envy-serve-writer".into())
-            .spawn(move || {
-                for resp in rrx {
-                    match resp.result {
-                        Ok(Reply::TxnStarted { txn }) => {
-                            open_txns
-                                .lock()
-                                .expect("txn table poisoned")
-                                .insert((resp.shard, txn));
-                        }
-                        Ok(Reply::Committed { txn }) | Ok(Reply::Aborted { txn }) => {
-                            open_txns
-                                .lock()
-                                .expect("txn table poisoned")
-                                .remove(&(resp.shard, txn));
-                        }
-                        _ => {}
-                    }
-                    send_direct(&write, &wire_of(resp));
-                }
-            })
-            .expect("spawn connection writer")
-    };
-    let mut reader = FrameReader {
-        stream,
-        buf: Vec::new(),
-    };
-    let mut last_activity = Instant::now();
-    while !stop.load(Ordering::SeqCst) {
-        match reader.poll() {
-            Ok(PollRead::Frame(payload)) => {
-                last_activity = Instant::now();
-                match proto::decode_request(&payload) {
-                    Ok(wreq) => {
-                        if !handle_request(&handle, &write, &rtx, &requests, &stop, wreq) {
-                            break;
-                        }
-                    }
-                    Err(_) => {
-                        // Framing is unrecoverable after a bad payload
-                        // only if lengths lied; lengths were
-                        // consistent, so answer id 0 and keep the
-                        // connection.
-                        send_direct(
-                            &write,
-                            &WireResponse {
-                                id: 0,
-                                shard: 0,
-                                outcome: WireOutcome::Err(ServeError::Store(
-                                    "malformed request".into(),
-                                )),
-                            },
-                        );
-                    }
-                }
-            }
-            Ok(PollRead::Idle) => {
-                // Idle timeout: stop reading; the tail below aborts
-                // this connection's open transactions just as on a
-                // disconnect. Catches half-closed peers that never
-                // send EOF on our read side but also never speak.
-                if let Some(t) = idle_timeout {
-                    if last_activity.elapsed() > t {
-                        break;
-                    }
-                }
-            }
-            Ok(PollRead::Eof) | Err(_) => break,
-        }
-    }
-    // Stop admitting; in-flight jobs still hold sender clones, so the
-    // writer drains every admitted completion before exiting.
-    drop(rtx);
-    let _ = writer.join();
-    // Abort-on-disconnect: anything still in the table was begun by
-    // this connection and never committed or aborted. Best-effort — a
-    // racing resolution surfaces as NoSuchTxn and is ignored.
-    let orphans: Vec<(u32, u64)> = open_txns
-        .lock()
-        .expect("txn table poisoned")
-        .drain()
-        .collect();
-    for (shard, txn) in orphans {
-        let _ = handle.call(Request::TxnAbort { shard, txn });
-    }
-}
-
-/// Handle one decoded request; returns `false` when the connection
-/// should stop reading (server shutdown requested).
-fn handle_request(
-    handle: &ShardHandle,
-    write: &Mutex<Stream>,
-    rtx: &Sender<Response>,
-    requests: &AtomicU64,
-    stop: &AtomicBool,
-    wreq: WireRequest,
-) -> bool {
-    let id = wreq.id;
-    let deadline = wreq.deadline();
-    match wreq.body {
-        WireBody::Shutdown => {
-            send_direct(
-                write,
-                &WireResponse {
-                    id,
-                    shard: 0,
-                    outcome: WireOutcome::ShutdownAck,
-                },
-            );
-            stop.store(true, Ordering::SeqCst);
-            false
-        }
-        WireBody::Req(req) => {
-            match handle.submit_with_id(id, req, deadline, rtx) {
-                Ok(()) => {
-                    requests.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(SubmitError::Busy(b)) => send_direct(
-                    write,
-                    &WireResponse {
-                        id,
-                        shard: b.shard,
-                        outcome: WireOutcome::Busy(b),
-                    },
-                ),
-                Err(SubmitError::Rejected(e)) => send_direct(
-                    write,
-                    &WireResponse {
-                        id,
-                        shard: 0,
-                        outcome: WireOutcome::Err(e),
-                    },
-                ),
-            }
-            true
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -704,14 +378,17 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connect over TCP.
+    /// Connect over TCP, with `TCP_NODELAY` set so a request is never
+    /// held back waiting for the server's delayed ACK.
     ///
     /// # Errors
     ///
     /// Socket errors.
     pub fn connect_tcp<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(Client {
-            stream: Stream::Tcp(TcpStream::connect(addr)?),
+            stream: Stream::Tcp(stream),
             next_id: 0,
             outbuf: Vec::new(),
             corked: false,
@@ -790,18 +467,24 @@ impl Client {
         let deadline_us = deadline
             .map(|d| d.as_micros().clamp(1, u32::MAX as u128) as u32)
             .unwrap_or(0);
-        let frame = proto::encode_request(&WireRequest {
+        self.enqueue(&WireRequest {
             id,
             deadline_us,
             body: WireBody::Req(req),
-        });
+        })
+    }
+
+    /// Frame a request into the submit buffer; uncorked, flush it now
+    /// (header and payload leave in one write).
+    fn enqueue(&mut self, req: &WireRequest) -> io::Result<()> {
+        let frame = proto::encode_request(req);
+        self.outbuf
+            .extend_from_slice(&(frame.len() as u32).to_le_bytes());
+        self.outbuf.extend_from_slice(&frame);
         if self.corked {
-            self.outbuf
-                .extend_from_slice(&(frame.len() as u32).to_le_bytes());
-            self.outbuf.extend_from_slice(&frame);
             Ok(())
         } else {
-            proto::write_frame(&mut self.stream, &frame)
+            self.flush_submits()
         }
     }
 
@@ -1073,15 +756,14 @@ impl Client {
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        let frame = proto::encode_request(&WireRequest {
+        self.enqueue(&WireRequest {
             id,
             deadline_us: 0,
             body: WireBody::Shutdown,
-        });
-        self.flush_submits()?;
-        proto::write_frame(&mut self.stream, &frame)?;
+        })?;
         loop {
-            // Outstanding pipelined completions may land first.
+            // Outstanding pipelined completions may land first; recv()
+            // flushes a corked frame.
             match self.recv()?.outcome {
                 WireOutcome::ShutdownAck => return Ok(()),
                 _ => continue,
@@ -1093,4 +775,25 @@ impl Client {
 fn unexpected_reply() -> ProtoError {
     // Reuse the protocol error type for a reply of the wrong kind.
     ProtoError::mismatched_reply()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tcp_nodelay(stream: &Stream) -> bool {
+        match stream {
+            Stream::Tcp(s) => s.nodelay().unwrap(),
+            Stream::Unix(_) => panic!("expected a TCP stream"),
+        }
+    }
+
+    #[test]
+    fn tcp_streams_set_nodelay_on_both_ends() {
+        let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
+        let client = Client::connect_tcp(listener.describe()).unwrap();
+        let accepted = listener.accept().unwrap();
+        assert!(tcp_nodelay(&client.stream), "client stream");
+        assert!(tcp_nodelay(&accepted), "accepted stream");
+    }
 }

@@ -706,8 +706,12 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
             "frame exceeds MAX_FRAME",
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    // One write per frame: a header sent apart from its payload would
+    // wait out the peer's delayed ACK under Nagle.
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -1065,6 +1069,38 @@ mod tests {
             read_frame(&mut torn).unwrap_err().kind(),
             io::ErrorKind::UnexpectedEof
         );
+    }
+
+    /// A sink that records how many `write` calls it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        let mut w = CountingWriter::default();
+        for (n, payload) in [&b"abc"[..], b"", &[9u8; 5_000]].iter().enumerate() {
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, n + 1, "frame {n} took more than one write");
+        }
+        let mut r = &w.bytes[..];
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"abc");
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), vec![9u8; 5_000]);
     }
 
     #[test]

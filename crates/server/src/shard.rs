@@ -398,10 +398,10 @@ impl ShardPlan {
 ///
 /// Writes, flushes and all background machinery (timing replay,
 /// cleaning, wear leveling) always run on the shard's single writer
-/// thread; this knob only moves reads off it. The concurrent paths use
-/// the store's lock-free [`ReadView`] — optimistic seqlock copies
-/// validated against the writer's epoch — so they bypass the simulated
-/// latency model and the controller's read statistics entirely. See
+/// thread; this knob only moves reads off it. The inline path uses the
+/// store's lock-free [`ReadView`] — optimistic seqlock copies validated
+/// against the writer's epoch — so it bypasses the simulated latency
+/// model and the controller's read statistics entirely. See
 /// `docs/CONCURRENCY.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadPath {
@@ -414,10 +414,6 @@ pub enum ReadPath {
     /// shard's [`ReadView`]; only mutations are queued. Cheapest path:
     /// no queue hop, no wakeup — reads scale with client threads.
     Inline,
-    /// `n ≥ 1` dedicated reader threads per shard; reads are fanned out
-    /// round-robin to bounded per-reader queues (full queues reject
-    /// [`Busy`], like the writer queue).
-    Readers(u32),
 }
 
 /// Configuration of a [`ShardedStore`].
@@ -550,8 +546,7 @@ struct ShardLink {
     est_ns: Arc<AtomicU64>,
 }
 
-/// Counters shared between the submit path, the reader threads and
-/// shutdown reporting.
+/// Counters shared between the inline read path and shutdown reporting.
 #[derive(Debug, Default)]
 struct ReadCounters {
     /// Reads completed off the writer thread.
@@ -560,20 +555,15 @@ struct ReadCounters {
     retries: AtomicU64,
 }
 
-/// Per-shard concurrent-read machinery (absent under
-/// [`ReadPath::Timed`]).
+/// Per-shard inline-read machinery (absent under [`ReadPath::Timed`]).
 struct ShardReaders {
     /// Lock-free view of the shard's store, for inline execution.
     view: ReadView,
-    /// Bounded per-reader queues (empty under [`ReadPath::Inline`]).
-    queues: Vec<SyncSender<Job>>,
-    /// Round-robin cursor over `queues`.
-    rr: AtomicUsize,
-    counters: Arc<ReadCounters>,
+    counters: ReadCounters,
 }
 
 /// Execute one shard-local read via a lock-free view and deliver its
-/// completion. Shared by the inline path and the reader threads.
+/// completion on the submitting thread.
 fn view_read(
     view: &ReadView,
     counters: &ReadCounters,
@@ -599,63 +589,6 @@ fn view_read(
     let _ = reply.send(Response { id, shard, result });
 }
 
-/// A dedicated reader thread: drains its bounded queue, executing each
-/// read against the shard's lock-free view. Exits once the close flag
-/// is up and the queue is empty (every admitted read still completes)
-/// or all submitters are gone.
-fn run_reader(
-    shard: u32,
-    view: ReadView,
-    rx: Receiver<Job>,
-    closed: &Closed,
-    counters: &ReadCounters,
-) {
-    loop {
-        let job = match rx.recv_timeout(Duration::from_millis(10)) {
-            Ok(job) => job,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if !closed.load(Ordering::SeqCst) {
-                    continue;
-                }
-                match rx.try_recv() {
-                    Ok(job) => job,
-                    Err(_) => break,
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        };
-        if job.deadline.is_some_and(|d| Instant::now() > d) {
-            let _ = job.reply.send(Response {
-                id: job.id,
-                shard,
-                result: Err(ServeError::DeadlineExceeded),
-            });
-            if let Some(w) = &job.notify {
-                w.wake();
-            }
-            continue;
-        }
-        match job.req {
-            Request::Read { addr, len } => {
-                view_read(&view, counters, shard, job.id, addr, len, &job.reply);
-            }
-            // Routing sends only reads here.
-            other => {
-                let _ = job.reply.send(Response {
-                    id: job.id,
-                    shard,
-                    result: Err(ServeError::Store(format!(
-                        "non-read request {other:?} routed to a reader"
-                    ))),
-                });
-            }
-        }
-        if let Some(w) = &job.notify {
-            w.wake();
-        }
-    }
-}
-
 /// Shared close flag: set once by [`ShardedStore::shutdown`]; checked by
 /// submitters (reject new work) and workers (exit once drained).
 type Closed = Arc<AtomicBool>;
@@ -677,8 +610,8 @@ pub struct ShardOutcome {
     pub max_batch: u32,
     /// Queue-depth samples over wall-clock time.
     pub depth_series: TimeSeries,
-    /// Reads served off the writer thread (inline or by reader
-    /// threads); 0 under [`ReadPath::Timed`]. These bypass the timing
+    /// Reads served inline, off the writer thread; 0 under
+    /// [`ReadPath::Timed`]. These bypass the timing
     /// model, so they are *not* in the store's `host_reads`.
     pub reads_offloaded: u64,
     /// Optimistic-read retries (seqlock conflicts) across those reads.
@@ -750,7 +683,7 @@ pub struct ShardHandle {
     links: Arc<Vec<ShardLink>>,
     next_id: Arc<AtomicU64>,
     closed: Closed,
-    /// One entry per shard when a concurrent read path is configured.
+    /// One entry per shard under [`ReadPath::Inline`].
     readers: Option<Arc<Vec<ShardReaders>>>,
 }
 
@@ -768,7 +701,6 @@ impl fmt::Debug for ShardHandle {
 pub struct ShardedStore {
     handle: ShardHandle,
     workers: Vec<JoinHandle<ShardOutcome>>,
-    reader_threads: Vec<JoinHandle<()>>,
 }
 
 impl ShardedStore {
@@ -805,17 +737,9 @@ impl ShardedStore {
         );
         let plan = ShardPlan::new(stores.len() as u32, shard_bytes);
         let closed: Closed = Arc::new(AtomicBool::new(false));
-        let per_shard_readers = match config.read_path {
-            ReadPath::Timed => None,
-            ReadPath::Inline => Some(0),
-            ReadPath::Readers(n) => {
-                assert!(n >= 1, "ReadPath::Readers needs at least one reader");
-                Some(n as usize)
-            }
-        };
+        let inline = config.read_path == ReadPath::Inline;
         let mut links = Vec::with_capacity(stores.len());
         let mut workers = Vec::with_capacity(stores.len());
-        let mut reader_threads = Vec::new();
         let mut shard_readers = Vec::with_capacity(stores.len());
         for (i, mut store) in stores.into_iter().enumerate() {
             if let Some(capacity) = config.trace_capacity {
@@ -832,28 +756,10 @@ impl ShardedStore {
             // — identical to a monolithic store, which the digest
             // anchors rely on.
             store.seed_txn_ids(i as u64 + 1, plan.shards() as u64);
-            if let Some(n) = per_shard_readers {
-                let view = store.read_view();
-                let counters = Arc::new(ReadCounters::default());
-                let mut queues = Vec::with_capacity(n);
-                for r in 0..n {
-                    let (qtx, qrx) = mpsc::sync_channel::<Job>(config.queue_capacity);
-                    queues.push(qtx);
-                    let view = view.clone();
-                    let closed = Arc::clone(&closed);
-                    let counters = Arc::clone(&counters);
-                    reader_threads.push(
-                        std::thread::Builder::new()
-                            .name(format!("envy-shard-{i}-reader-{r}"))
-                            .spawn(move || run_reader(i as u32, view, qrx, &closed, &counters))
-                            .expect("spawn shard reader"),
-                    );
-                }
+            if inline {
                 shard_readers.push(ShardReaders {
-                    view,
-                    queues,
-                    rr: AtomicUsize::new(0),
-                    counters,
+                    view: store.read_view(),
+                    counters: ReadCounters::default(),
                 });
             }
             let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_capacity);
@@ -879,7 +785,7 @@ impl ShardedStore {
             );
             links.push(ShardLink { tx, depth, est_ns });
         }
-        let readers = per_shard_readers.map(|_| Arc::new(shard_readers));
+        let readers = inline.then(|| Arc::new(shard_readers));
         ShardedStore {
             handle: ShardHandle {
                 plan,
@@ -889,7 +795,6 @@ impl ShardedStore {
                 readers,
             },
             workers,
-            reader_threads,
         }
     }
 
@@ -916,9 +821,6 @@ impl ShardedStore {
             .into_iter()
             .map(|w| w.join().expect("shard worker panicked"))
             .collect();
-        for r in self.reader_threads {
-            r.join().expect("shard reader panicked");
-        }
         if let Some(readers) = readers {
             for (s, r) in shards.iter_mut().zip(readers.iter()) {
                 s.reads_offloaded = r.counters.offloaded.load(Ordering::Relaxed);
@@ -1051,40 +953,12 @@ impl ShardHandle {
             },
             other => other,
         };
-        // Concurrent read path: reads never queue behind mutations.
-        if let Some(readers) = &self.readers {
-            if let Request::Read { addr, len } = local {
-                let sr = &readers[shard as usize];
-                if sr.queues.is_empty() {
-                    // Inline: execute on this (submitting) thread.
-                    view_read(&sr.view, &sr.counters, shard, id, addr, len, reply);
-                    return Ok(());
-                }
-                let n = sr.queues.len();
-                let start = sr.rr.fetch_add(1, Ordering::Relaxed) % n;
-                let mut job = Job {
-                    id,
-                    req: Request::Read { addr, len },
-                    deadline: deadline.map(|d| Instant::now() + d),
-                    reply: reply.clone(),
-                    notify: notify.cloned(),
-                };
-                // Round-robin with overflow onto the next reader; only
-                // a full sweep of full queues is Busy.
-                for k in 0..n {
-                    match sr.queues[(start + k) % n].try_send(job) {
-                        Ok(()) => return Ok(()),
-                        Err(TrySendError::Full(j)) => job = j,
-                        Err(TrySendError::Disconnected(_)) => {
-                            return Err(SubmitError::Rejected(ServeError::ShuttingDown))
-                        }
-                    }
-                }
-                return Err(SubmitError::Busy(Busy {
-                    shard,
-                    retry_after: self.retry_hint(shard),
-                }));
-            }
+        // Inline read path: reads execute on this (submitting) thread
+        // and never queue behind mutations.
+        if let (Some(readers), Request::Read { addr, len }) = (&self.readers, &local) {
+            let sr = &readers[shard as usize];
+            view_read(&sr.view, &sr.counters, shard, id, *addr, *len, reply);
+            return Ok(());
         }
         let job = Job {
             id,
@@ -1408,8 +1282,8 @@ impl Worker {
             batches,
             max_batch,
             depth_series: series,
-            // Patched from the shared counters at shutdown when a
-            // concurrent read path is configured.
+            // Patched from the shared counters at shutdown under the
+            // inline read path.
             reads_offloaded: 0,
             read_retries: 0,
         }

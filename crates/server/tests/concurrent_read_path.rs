@@ -1,11 +1,9 @@
-//! The concurrent in-shard read path: inline and reader-thread
-//! execution, the 1-reader digest anchor against the monolithic store,
-//! and the `Busy` backpressure retry contract.
+//! The concurrent in-shard read path: inline execution, its digest
+//! anchor against the monolithic store, and the `Busy` backpressure
+//! retry contract.
 
 use envy_core::EnvyStore;
-use envy_server::{
-    run_inproc, run_monolithic, LoadSpec, ReadPath, Reply, Request, ServeConfig, ShardedStore,
-};
+use envy_server::{run_inproc, run_monolithic, LoadSpec, ReadPath, ServeConfig, ShardedStore};
 use std::time::Duration;
 
 /// FNV-1a over a byte slice: the stable, dependency-free digest used by
@@ -43,64 +41,11 @@ fn inline_reads_complete_off_the_writer() {
     );
 }
 
-#[test]
-fn reader_threads_serve_reads() {
-    let store =
-        ShardedStore::launch(ServeConfig::small(1).with_read_path(ReadPath::Readers(2))).unwrap();
-    let h = store.handle();
-    h.call(Request::Write {
-        addr: 128,
-        bytes: b"offloaded".to_vec(),
-    })
-    .unwrap();
-    // `call` is synchronous, so the write is published before the read
-    // is submitted — read-your-writes holds for a sequential client.
-    match h.call(Request::Read { addr: 128, len: 9 }).unwrap() {
-        Reply::Data(d) => assert_eq!(d, b"offloaded"),
-        other => panic!("unexpected {other:?}"),
-    }
-    let outcome = store.shutdown();
-    assert_eq!(outcome.total_reads_offloaded(), 1);
-}
-
-/// The digest anchor: a 1-shard front end with one reader thread runs
-/// the read-heavy mix; its final contents must be byte-identical to the
+/// The digest anchor: a 1-shard front end with inline reads runs the
+/// read-heavy mix; its final contents must be byte-identical to the
 /// monolithic single-threaded store replaying the same spec. Writes all
 /// funnel through the single writer in submission order, so offloading
 /// reads must not perturb a single byte.
-#[test]
-fn one_reader_shard_matches_monolithic_digest() {
-    let config = ServeConfig::small(1).with_read_path(ReadPath::Readers(1));
-    let mut baseline = EnvyStore::new(config.store.clone()).unwrap();
-    baseline.prefill().unwrap();
-    let mut mono = baseline.fork();
-
-    let front = ShardedStore::launch_from(vec![baseline.fork()], &config);
-    let spec = LoadSpec::closed(1, 200)
-        .with_seed(0xD16E57)
-        .read_mostly(0.95);
-    let report = run_inproc(&front.handle(), &spec);
-    let mut outcome = front.shutdown();
-
-    let mono_report = run_monolithic(&mut mono, &spec);
-    assert_eq!(report.completed_txns, mono_report.completed_txns);
-    assert_eq!(report.errors, 0);
-    assert!(outcome.total_reads_offloaded() > 0, "mix is 95% reads");
-
-    let served = &mut outcome.shards[0].store;
-    assert_eq!(
-        contents_digest(served),
-        contents_digest(&mut mono),
-        "offloaded reads must not perturb store contents"
-    );
-    // Writes took the identical timed path on both sides.
-    assert_eq!(
-        served.stats().host_writes.get(),
-        mono.stats().host_writes.get()
-    );
-}
-
-/// The inline path is held to the same digest anchor.
 #[test]
 fn inline_shard_matches_monolithic_digest() {
     let config = ServeConfig::small(1).with_read_path(ReadPath::Inline);
@@ -138,21 +83,4 @@ fn busy_retries_complete_all_transactions() {
     assert_eq!(report.errors, 0);
     assert_eq!(report.timeouts, 0);
     assert_eq!(report.completed_ops, outcome.total_served());
-}
-
-/// Reader queues are bounded too: flooding one reader with pipelined
-/// reads from many clients triggers the same typed Busy, and retries
-/// complete everything.
-#[test]
-fn reader_queue_busy_is_retried() {
-    let config = ServeConfig::small(1)
-        .with_queue_capacity(2)
-        .with_read_path(ReadPath::Readers(1));
-    let store = ShardedStore::launch(config).unwrap();
-    let spec = LoadSpec::closed(4, 20).read_mostly(1.0);
-    let report = run_inproc(&store.handle(), &spec);
-    let outcome = store.shutdown();
-    assert_eq!(report.completed_txns, 80);
-    assert_eq!(report.errors, 0);
-    assert_eq!(report.completed_ops, outcome.total_reads_offloaded());
 }

@@ -1,10 +1,12 @@
-//! Driver-equivalence tests: the event-loop drivers (`epoll`, `poll`)
-//! and the thread-per-connection driver must be indistinguishable on
-//! the wire — byte-identical responses for a seeded pipelined workload
-//! and identical `ServeSummary` accounting — and must run the same
-//! disconnect cleanup for half-closed sockets.
+//! Backend-equivalence tests: the event loop's two poller backends
+//! (`epoll`, `poll`) must answer a seeded pipelined workload with
+//! exactly the bytes that direct `shard::apply` calls produce — no
+//! network code in the oracle — with matching `ServeSummary`
+//! accounting, and must run the same disconnect cleanup for
+//! half-closed and silent sockets.
 
-use envy_server::proto::{self, WireBody, WireRequest};
+use envy_server::proto::{self, WireBody, WireOutcome, WireRequest, WireResponse};
+use envy_server::shard::apply;
 use envy_server::{
     serve_with, Client, Listener, NetConfig, NetDriver, Request, ServeConfig, ServeError,
     ShardedStore,
@@ -17,20 +19,20 @@ use std::time::{Duration, Instant};
 /// Build a seeded pipelined request blob: a deterministic interleave of
 /// writes, reads, pings, the four KV operations, and a few malformed
 /// (unknown-opcode) frames. One shard + FIFO dispatch means completion
-/// order equals admission order, so both drivers must answer with
-/// identical byte streams.
+/// order equals admission order, so every backend must answer with the
+/// oracle's byte stream.
 ///
 /// Raw writes draw from the top half of the shard only: the KV store's
 /// B-Tree nodes grow from the region base, and a raw write landing in a
 /// live index node could forge a cyclic child pointer (a hang, not a
 /// typed error). Clobbered *heap* blocks in the top half surface as
-/// typed `Corrupt` errors, which both drivers must report identically.
+/// typed `Corrupt` errors, which every backend must report identically.
 fn seeded_blob(frames: usize) -> (Vec<u8>, u64) {
     let shard_bytes = {
         let cfg = ServeConfig::small(1);
         envy_core::EnvyStore::new(cfg.store).unwrap().size()
     };
-    let mut rng = Rng::seed_from(0xD1FF_9);
+    let mut rng = Rng::seed_from(0xD1FF9);
     let mut blob = Vec::new();
     let mut admitted = 0u64;
     for i in 0..frames as u64 {
@@ -86,8 +88,8 @@ fn seeded_blob(frames: usize) -> (Vec<u8>, u64) {
 }
 
 /// Run the blob against a fresh 1-shard server under `driver`; return
-/// the raw response bytes and the summary's request count.
-fn run_driver(driver: NetDriver, blob: &[u8], frames: usize) -> (Vec<u8>, u64) {
+/// the response payloads and the summary's request count.
+fn run_driver(driver: NetDriver, blob: &[u8], frames: usize) -> (Vec<Vec<u8>>, u64) {
     let store = ShardedStore::launch(ServeConfig::small(1)).unwrap();
     let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
     let server = serve_with(
@@ -101,39 +103,100 @@ fn run_driver(driver: NetDriver, blob: &[u8], frames: usize) -> (Vec<u8>, u64) {
     .unwrap();
     let mut raw = TcpStream::connect(server.addr()).unwrap();
     raw.write_all(blob).unwrap();
-    let mut bytes = Vec::new();
-    for _ in 0..frames {
-        let payload = proto::read_frame(&mut raw)
-            .expect("read response frame")
-            .expect("response before eof");
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-    }
+    let payloads = (0..frames)
+        .map(|_| {
+            proto::read_frame(&mut raw)
+                .expect("read response frame")
+                .expect("response before eof")
+        })
+        .collect();
     drop(raw);
     let summary = server.shutdown();
-    (bytes, summary.requests)
+    (payloads, summary.requests)
+}
+
+/// The answer to a frame that does not decode.
+fn malformed_answer() -> Vec<u8> {
+    proto::encode_response(&WireResponse {
+        id: 0,
+        shard: 0,
+        outcome: WireOutcome::Err(ServeError::Store("malformed request".into())),
+    })
+}
+
+/// The expected response payloads, computed without any network code:
+/// decode each frame of the blob and run it through `shard::apply` on a
+/// store built the way `ShardedStore::launch(ServeConfig::small(1))`
+/// builds shard 0. A malformed frame is answered `ERR` under id 0.
+fn oracle_payloads(blob: &[u8]) -> Vec<Vec<u8>> {
+    let config = ServeConfig::small(1);
+    let mut baseline = envy_core::EnvyStore::new(config.store.clone()).unwrap();
+    if config.prefill {
+        baseline.prefill().unwrap();
+    }
+    let mut store = baseline.fork();
+    store.set_txn_slots(config.store.txn_slots);
+    store.seed_txn_ids(1, 1);
+    let mut payloads = Vec::new();
+    let mut r = blob;
+    while let Some(payload) = proto::read_frame(&mut r).unwrap() {
+        payloads.push(match proto::decode_request(&payload) {
+            Ok(WireRequest {
+                id,
+                body: WireBody::Req(req),
+                ..
+            }) => proto::encode_response(&WireResponse {
+                id,
+                shard: 0,
+                outcome: match apply(&mut store, &req) {
+                    Ok(reply) => WireOutcome::Reply(reply),
+                    Err(e) => WireOutcome::Err(e),
+                },
+            }),
+            Ok(other) => panic!("the seeded blob holds only requests: {other:?}"),
+            Err(_) => malformed_answer(),
+        });
+    }
+    payloads
+}
+
+/// A malformed frame is answered as soon as it is decoded, ahead of
+/// completions still in flight on the shard, so where its `ERR` lands
+/// in the stream depends on timing. Split those answers out: return the
+/// remaining frames re-joined into one byte stream, and how many
+/// malformed answers there were.
+fn split_malformed(payloads: &[Vec<u8>]) -> (Vec<u8>, usize) {
+    let malformed = malformed_answer();
+    let mut bytes = Vec::new();
+    let mut errs = 0;
+    for p in payloads {
+        if *p == malformed {
+            errs += 1;
+        } else {
+            bytes.extend_from_slice(&(p.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(p);
+        }
+    }
+    (bytes, errs)
 }
 
 #[test]
 fn drivers_produce_identical_wire_bytes_and_counts() {
     const FRAMES: usize = 200;
     let (blob, admitted) = seeded_blob(FRAMES);
-    let (epoll_bytes, epoll_reqs) = run_driver(NetDriver::Epoll, &blob, FRAMES);
-    let (poll_bytes, poll_reqs) = run_driver(NetDriver::Poll, &blob, FRAMES);
-    let (thread_bytes, thread_reqs) = run_driver(NetDriver::Threads, &blob, FRAMES);
-
-    assert_eq!(epoll_reqs, admitted, "epoll driver request count");
-    assert_eq!(poll_reqs, admitted, "poll driver request count");
-    assert_eq!(thread_reqs, admitted, "threads driver request count");
-    assert!(!epoll_bytes.is_empty());
-    assert_eq!(
-        epoll_bytes, thread_bytes,
-        "epoll and threads drivers must answer byte-identically"
-    );
-    assert_eq!(
-        epoll_bytes, poll_bytes,
-        "epoll and poll backends must answer byte-identically"
-    );
+    let expected = split_malformed(&oracle_payloads(&blob));
+    assert!(expected.1 > 0, "the blob must hold malformed frames");
+    assert_eq!(expected.1 as u64 + admitted, FRAMES as u64);
+    for driver in [NetDriver::Epoll, NetDriver::Poll] {
+        let (payloads, reqs) = run_driver(driver, &blob, FRAMES);
+        assert_eq!(reqs, admitted, "{driver:?} request count");
+        let got = split_malformed(&payloads);
+        assert_eq!(got.1, expected.1, "{driver:?} malformed-frame answers");
+        assert!(
+            got.0 == expected.0,
+            "{driver:?} must answer admitted requests exactly as shard::apply does"
+        );
+    }
 }
 
 /// A malformed KV frame — a valid `KV_PUT` opcode whose payload is
@@ -184,7 +247,7 @@ fn malformed_kv_frame_errors_id0_and_survives(driver: NetDriver) {
     let first = proto::decode_response(&first).unwrap();
     assert_eq!(first.id, 0, "malformed frames are answered under id 0");
     assert!(
-        matches!(first.outcome, envy_server::proto::WireOutcome::Err(_)),
+        matches!(first.outcome, WireOutcome::Err(_)),
         "malformed KV frame must surface a typed error, got {:?} ({driver:?})",
         first.outcome,
     );
@@ -194,7 +257,7 @@ fn malformed_kv_frame_errors_id0_and_survives(driver: NetDriver) {
     assert!(
         matches!(
             second.outcome,
-            envy_server::proto::WireOutcome::Reply(envy_server::Reply::KvValue(None))
+            WireOutcome::Reply(envy_server::Reply::KvValue(None))
         ),
         "the truncated put must not have executed, got {:?} ({driver:?})",
         second.outcome,
@@ -211,11 +274,6 @@ fn malformed_kv_frame_survives_under_epoll() {
 #[test]
 fn malformed_kv_frame_survives_under_poll_backend() {
     malformed_kv_frame_errors_id0_and_survives(NetDriver::Poll);
-}
-
-#[test]
-fn malformed_kv_frame_survives_under_threads() {
-    malformed_kv_frame_errors_id0_and_survives(NetDriver::Threads);
 }
 
 /// A half-closed socket — the client shuts down only its **write**
@@ -284,11 +342,6 @@ fn half_closed_socket_aborts_txn_under_poll_backend() {
     half_close_aborts_open_txn(NetDriver::Poll);
 }
 
-#[test]
-fn half_closed_socket_aborts_txn_under_threads() {
-    half_close_aborts_open_txn(NetDriver::Threads);
-}
-
 /// A connection that goes fully silent (no EOF at all) is reaped by
 /// the idle timeout and its transaction aborted — the teardown path
 /// that EOF-based cleanup alone can never catch.
@@ -339,6 +392,6 @@ fn silent_connection_reaped_under_epoll() {
 }
 
 #[test]
-fn silent_connection_reaped_under_threads() {
-    silent_connection_reaped_by_idle_timeout(NetDriver::Threads);
+fn silent_connection_reaped_under_poll_backend() {
+    silent_connection_reaped_by_idle_timeout(NetDriver::Poll);
 }

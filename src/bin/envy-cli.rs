@@ -100,7 +100,7 @@ commands:
       --txn-slots <n>       concurrent transactions per shard (default 1)
       --scale <small|scaled>  per-shard array size          (default scaled)
       --duration-secs <n>   serve n seconds, then drain     (default: until shutdown)
-      --net-driver <d>      connection driver: epoll|poll|threads (default epoll)
+      --net-driver <d>      event-loop backend: epoll|poll  (default epoll)
       --idle-timeout-ms <n> reap connections silent > n ms  (default: never)
   bench-serve               closed-loop load against an in-process sharded store,
                             or a live server (--unix/--connect; --shards/--scale
@@ -494,7 +494,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let driver = match opt(args, "--net-driver") {
         None => NetDriver::default(),
         Some(name) => NetDriver::parse(name)
-            .ok_or_else(|| format!("unknown net driver `{name}` (use epoll|poll|threads)"))?,
+            .ok_or_else(|| format!("unknown net driver `{name}` (use epoll|poll)"))?,
     };
     let idle_ms: u64 = opt_parse(args, "--idle-timeout-ms", 0)?;
     let net = NetConfig {
